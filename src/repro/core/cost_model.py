@@ -156,14 +156,17 @@ class CleoCostModel:
         loops: all ``len(partitions) * len(stage_ops)`` predictions run as
         one batched call, then each candidate's stage total is reduced with
         the exact left-fold order the scalar ``sum`` uses, so totals (and
-        therefore every argmin/guard decision) are bitwise identical.
+        therefore every argmin/guard decision) are bitwise identical.  Each
+        operator is featurized once; only ``P`` varies across candidates.
         """
         service = self.service
         bundles = [service.bundle_for(op) for op in stage_ops]
+        features = [feature_input_for(op, estimator) for op in stage_ops]
         inputs = [
-            feature_input_for(op, estimator, int(p))
+            # ``or`` mirrors feature_input_for's partition_override fallback.
+            base.with_partition_count(int(p) or op.partition_count)
             for p in partitions
-            for op in stage_ops
+            for op, base in zip(stage_ops, features)
         ]
         values = service.predict_inputs(inputs, bundles * len(partitions))
         n = len(stage_ops)

@@ -211,8 +211,12 @@ def predictor_from_dict(
 
 
 def save_predictor(predictor: CleoPredictor, path: str | Path) -> None:
-    """Serialize a trained predictor (store + combined model) to JSON."""
-    Path(path).write_text(json.dumps(predictor_to_dict(predictor)))
+    """Serialize a trained predictor (store + combined model) to JSON.
+
+    Atomic (:func:`save_json_atomic`): a crash mid-save leaves the previous
+    file intact.
+    """
+    save_json_atomic(predictor_to_dict(predictor), path)
 
 
 def load_predictor(path: str | Path, config: CleoConfig | None = None) -> CleoPredictor:
@@ -268,8 +272,8 @@ def registry_from_dict(
 
 
 def save_registry(registry: "ModelRegistry", path: str | Path) -> None:
-    """Persist a model registry (all versions + the active pointer)."""
-    Path(path).write_text(json.dumps(registry_to_dict(registry)))
+    """Persist a model registry (all versions + the active pointer), atomically."""
+    save_json_atomic(registry_to_dict(registry), path)
 
 
 def load_registry(path: str | Path, config: CleoConfig | None = None) -> "ModelRegistry":

@@ -29,7 +29,7 @@ bitwise-identical to the columnar path by construction (regression net:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -57,7 +57,19 @@ class FeatureInput:
 
     def with_partition_count(self, partition_count: float) -> "FeatureInput":
         """Copy with a different ``P`` — used during partition exploration."""
-        return replace(self, partition_count=float(partition_count))
+        # Positional construction: about twice as fast as dataclasses.replace
+        # on this per-candidate path.
+        return FeatureInput(
+            self.input_card,
+            self.base_card,
+            self.output_card,
+            self.avg_row_bytes,
+            float(partition_count),
+            self.input_enc,
+            self.params_enc,
+            self.logical_count,
+            self.depth,
+        )
 
     @staticmethod
     def encode_inputs(normalized_inputs: frozenset[str]) -> float:
@@ -74,16 +86,29 @@ class FeatureInput:
     @staticmethod
     def encode_params(params: tuple[float, ...]) -> float:
         """Numeric encoding of job parameters (mean value; 0 when absent)."""
-        # repro: allow(float-reduction) -- reduces one operator's fixed parameter tuple, computed once at featurization time by BOTH the scalar and columnar paths; batch size can never change its grouping
-        return float(np.mean(params)) if params else 0.0
+        if not params:
+            return 0.0
+        cached = _PARAMS_ENC_CACHE.get(params)
+        if cached is None:
+            # repro: allow(float-reduction) -- reduces one operator's fixed parameter tuple, computed once at featurization time by BOTH the scalar and columnar paths; batch size can never change its grouping
+            cached = float(np.mean(params))
+            if len(_PARAMS_ENC_CACHE) >= _PARAMS_ENC_CACHE_LIMIT:
+                _PARAMS_ENC_CACHE.clear()
+            _PARAMS_ENC_CACHE[params] = cached
+        return cached
 
 
-#: Input-set encodings recur across every operator instance of a template;
-#: the cache skips re-hashing identical frozensets (values unchanged).  It
-#: clears at the limit so long-running processes stay bounded (entries are
-#: pure recomputations).
+#: Input-set and parameter encodings recur across every operator instance
+#: of a template; the caches skip re-hashing identical frozensets and
+#: re-reducing identical parameter tuples (values unchanged).  They clear
+#: at the limit so long-running processes stay bounded (entries are pure
+#: recomputations).
 _INPUT_ENC_CACHE: dict[frozenset[str], float] = {}
 _INPUT_ENC_CACHE_LIMIT = 1 << 18
+#: Parameter values are per instance, so distinct keys grow with the number
+#: of jobs seen, not templates; the lower limit caps the cache at about 9 MB.
+_PARAMS_ENC_CACHE: dict[tuple[float, ...], float] = {}
+_PARAMS_ENC_CACHE_LIMIT = 1 << 16
 
 
 #: Attribute names consumed by feature expressions, in FeatureInput order.

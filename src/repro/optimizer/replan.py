@@ -10,26 +10,48 @@ driver compounds the repo's three planning optimizations over that shape:
   once and replayed per instance (:class:`~repro.optimizer.skeleton.SkeletonPlanner`);
 * **deferred frontier pricing** — candidate costs accumulate in the
   reference planner's ledger instead of scalar model round-trips;
-* **packed inference** — and, the fleet-scale step, instances of one
-  template are driven through the search *in lockstep*, so every frontier
-  flush prices all instances' candidates in one
+* **packed inference** — and, the fleet-scale step, *every* instance of
+  *every* template in one :meth:`FleetReplanner.replan_jobs` call is driven
+  through the search in lockstep, so each search step prices the whole
+  fleet's pending candidates in one
   :meth:`~repro.serving.service.CleoService.predict_inputs` pass, and the
-  final per-plan totals for the whole fleet go through one
+  final per-plan totals go through one
   :meth:`~repro.core.cost_model.CleoCostModel.price_plans` call.
 
-Lockstep is sound because the search's *frame sequence* — which
+**Where schedules come from.**  The search's *frame sequence* — which
 ``(node, requirement)`` subproblems are optimized, in what order — is a pure
 function of the template structure and planner config: costs pick winners,
-they never change which frames run.  The first replayed instance records the
-sequence on the skeleton (:attr:`TemplateSkeleton.schedule`); every other
-instance then processes frames in that order, which makes each frame's child
-lookups memo hits and leaves candidate generation, enforcement, tie-breaking,
-and floating-point arithmetic exactly the solo replay's.  Plans, costs, and
-(with the prediction cache disabled, the optimizer-experiment default)
-per-prediction lookup accounting are therefore bitwise identical to a
-per-job :class:`~repro.optimizer.planner.QueryPlanner` loop; with a shared
-prediction cache enabled, values are still identical but in-batch reuse
-accounting can differ (the PR-5 precedent for cross-plan batches).
+they never change which frames run.  So a skeleton's frame
+:attr:`~repro.optimizer.skeleton.TemplateSkeleton.schedule` is recorded
+once, without pricing anything, by replaying its first instance under the
+inlined :class:`~repro.cost.default_model.DefaultCostModel` formula
+(:meth:`SkeletonPlanner.frame_schedule`).  That replay runs over the *same*
+skeleton object the learned search uses, because frames carry the
+skeleton's own requirement objects and memo keys use their ``id()``.  The
+schedule stays on the cached skeleton for later calls.
+
+**The fleet-wide steps.**  Every instance is prepared first (bound to its
+skeleton, estimates primed).  Then step *k* runs frame *k* of every
+instance whose schedule has one: it generates and enforces the candidates
+(children are memo hits, since the schedule is the memo-entry creation
+order); if any instance faces a genuine comparison, all stepping instances'
+pending operators are priced in one packed pass; then each instance picks
+its winner with the solo replay's first-seen strict ``<`` rule.  A final
+pass prices the stragglers, so one call makes at most (longest schedule
++ 1) frontier flushes however many templates it spans.  Early pricing never
+perturbs values or ledger indices (predictions are batch-invariant, indices
+are assigned at ``_cost`` time), so candidate generation, tie-breaking,
+choice keys and floating-point arithmetic are exactly the solo replay's.
+Plans, costs, candidate counts and (with the prediction cache disabled, the
+optimizer-experiment default) per-prediction lookup accounting are bitwise
+identical to a per-job :class:`~repro.optimizer.planner.QueryPlanner` loop;
+with a shared prediction cache enabled, values are still identical but
+in-batch reuse accounting can differ, as for any batch that spans plans.
+
+**Timing.**  Instances share every search step and the pricing finale, so
+per-job wall clock is not attributable: each :class:`PlannedJob`'s
+``optimize_seconds`` is the whole call's wall clock divided evenly over its
+jobs (a configured partition strategy's per-job pass included).
 
 Heuristic cost models and scalar learned serving (``batched=False``) have no
 frontier batches to share, so :meth:`FleetReplanner.replan_jobs` simply runs
@@ -43,7 +65,8 @@ from dataclasses import dataclass
 
 from repro.cardinality.estimator import CardinalityEstimator
 from repro.common.errors import OptimizationError
-from repro.optimizer.planner import PlannedJob, PlannerConfig, _resolve_cost
+from repro.cost.default_model import DefaultCostModel
+from repro.optimizer.planner import PlannedJob, PlannerConfig
 from repro.optimizer.skeleton import (
     _ANY,
     _NO_SORT,
@@ -51,6 +74,7 @@ from repro.optimizer.skeleton import (
     SkeletonPlanner,
     SkeletonPlannerStats,
     _ReplayState,
+    _pick_priced,
     _replay_feature_input,
     _walk_replay,
     materialize,
@@ -83,7 +107,9 @@ class FleetReplanner:
     One instance wraps one :class:`SkeletonPlanner` (and thus one cost
     model / estimator / config triple); the skeleton cache and telemetry
     persist across :meth:`replan_jobs` calls, so a nightly driver reuses
-    template analyses from the previous night.
+    template analyses from the previous night.  A second, heuristic
+    :class:`SkeletonPlanner` over the same config supplies frame schedules
+    for skeletons that do not have one yet.
     """
 
     def __init__(
@@ -92,8 +118,10 @@ class FleetReplanner:
         estimator: CardinalityEstimator | None = None,
         config: PlannerConfig | None = None,
     ) -> None:
-        self.planner = SkeletonPlanner(
-            cost_model, estimator or CardinalityEstimator(), config
+        estimator = estimator or CardinalityEstimator()
+        self.planner = SkeletonPlanner(cost_model, estimator, config)
+        self._scheduler = SkeletonPlanner(
+            DefaultCostModel(), estimator, self.planner.config
         )
 
     def stats(self) -> SkeletonPlannerStats:
@@ -102,10 +130,9 @@ class FleetReplanner:
     def replan_jobs(self, jobs) -> list[PlannedJob]:
         """Replan every instance; results align with the input order.
 
-        ``optimize_seconds`` amortizes shared work (a group's lockstep
-        search, the fleet-wide pricing finale) evenly over the jobs that
-        shared it — per-job wall clock is not individually attributable
-        once instances batch together.
+        ``optimize_seconds`` spreads the whole call's wall clock evenly over
+        its jobs — per-job time is not attributable once every instance
+        shares each search step and the pricing finale.
         """
         jobs = list(jobs)
         if not jobs:
@@ -119,112 +146,72 @@ class FleetReplanner:
                 for job in jobs
             ]
 
-        groups: dict[tuple[str, int], list[int]] = {}
-        for i, job in enumerate(jobs):
-            groups.setdefault((job.template_id, job.day), []).append(i)
-
-        wins: list[RNode | None] = [None] * len(jobs)
-        seconds = [0.0] * len(jobs)
-        candidates = [0] * len(jobs)
-        for indices in groups.values():
-            start = time.perf_counter()
-            group_wins, group_candidates = self._search_group(jobs, indices)
-            share = (time.perf_counter() - start) / len(indices)
-            for k, i in enumerate(indices):
-                wins[i] = group_wins[k]
-                candidates[i] = group_candidates[k]
-                seconds[i] = share
-
-        strategy = planner.config.partition_strategy
-        if strategy is not None:
-            out: list[PlannedJob] = []
-            for i, win in enumerate(wins):
-                start = time.perf_counter()
-                plan, total = planner._finalize(win)
-                elapsed = seconds[i] + (time.perf_counter() - start)
-                out.append(PlannedJob(plan, total, elapsed, candidates[i]))
-            return out
-
-        # Fleet-wide pricing finale: every job's plan total in one packed
-        # pass, each reduced with predict_plan's exact left-fold order.
         start = time.perf_counter()
-        walks = [list(_walk_replay(win)) for win in wins]
-        inputs = [_replay_feature_input(node) for nodes in walks for node in nodes]
-        bundles = [node.bundle for nodes in walks for node in nodes]
-        lengths = [len(nodes) for nodes in walks]
-        totals = planner.cost_model.price_plans(inputs, bundles, lengths)
-        plans = [materialize(win) for win in wins]
-        share = (time.perf_counter() - start) / len(jobs)
-        return [
-            PlannedJob(plans[i], float(totals[i]), seconds[i] + share, candidates[i])
-            for i in range(len(jobs))
-        ]
-
-    # ------------------------------------------------------------------ #
-    # One template group, searched in lockstep
-    # ------------------------------------------------------------------ #
-
-    def _search_group(
-        self, jobs: list[ReplanJob], indices: list[int]
-    ) -> tuple[list[RNode], list[int]]:
-        planner = self.planner
-        skeleton = None
         states: list[_ReplayState] = []
-        for i in indices:
-            job = jobs[i]
+        for job in jobs:
             skeleton = planner.prepare_job(
                 job.template_id, job.day, job.logical, job.salt
             )
             states.append(planner._export_state())
+            if skeleton.schedule is None:
+                skeleton.schedule = self._scheduler.frame_schedule(
+                    skeleton, job.logical, job.salt
+                )
+        longest = max(len(st.skel.schedule) for st in states)
+        for step in range(longest):
+            self._step(
+                [st for st in states if step < len(st.skel.schedule)], step
+            )
+        # The solo replay flushes stragglers after the search; match it so
+        # lookup accounting stays aligned.
+        self._flush_states(states)
+        wins = [
+            st.memo[(st.skel.root_index, id(_ANY), id(_NO_SORT))][0]
+            for st in states
+        ]
 
-        wins: list[RNode | None] = [None] * len(indices)
-        pos = 0
-        if skeleton.schedule is None:
-            # First instance runs solo to record the frame schedule (and in
-            # the common single-instance-per-group case, this IS the search).
-            planner._load_state(states[0])
-            planner._schedule = []
-            best, _cost = planner._optimize(skeleton.root_index, _ANY, _NO_SORT)
-            skeleton.schedule = tuple(planner._schedule)
-            planner._schedule = None
-            planner._flush_pending()
-            states[0] = planner._export_state()
-            wins[0] = best
-            pos = 1
+        if planner.config.partition_strategy is not None:
+            finals = [planner._finalize(win) for win in wins]
+        else:
+            # Fleet-wide pricing finale: every job's plan total in one packed
+            # pass, each reduced with predict_plan's exact left-fold order.
+            walks = [list(_walk_replay(win)) for win in wins]
+            inputs = [
+                _replay_feature_input(node) for nodes in walks for node in nodes
+            ]
+            bundles = [node.bundle for nodes in walks for node in nodes]
+            lengths = [len(nodes) for nodes in walks]
+            totals = planner.cost_model.price_plans(inputs, bundles, lengths)
+            finals = [
+                (materialize(win), float(total)) for win, total in zip(wins, totals)
+            ]
+        share = (time.perf_counter() - start) / len(jobs)
+        return [
+            PlannedJob(plan, total, share, st.candidates_considered)
+            for (plan, total), st in zip(finals, states)
+        ]
 
-        rest = states[pos:]
-        if rest:
-            for frame in skeleton.schedule:
-                self._lockstep_frame(rest, frame)
-            # The solo replay flushes stragglers after the search; match it
-            # so lookup accounting stays aligned.
-            self._flush_states(rest)
-            root_key = (skeleton.root_index, id(_ANY), id(_NO_SORT))
-            for k, st in enumerate(rest):
-                wins[pos + k] = st.memo[root_key][0]
-        return wins, [st.candidates_considered for st in states]
+    # ------------------------------------------------------------------ #
+    # One search step across the whole fleet
+    # ------------------------------------------------------------------ #
 
-    def _lockstep_frame(
-        self, states: list[_ReplayState], frame: tuple
-    ) -> None:
-        """Run one recorded search frame across every instance.
+    def _step(self, states: list[_ReplayState], step: int) -> None:
+        """Run frame ``step`` of each state's schedule.
 
         Mirrors ``SkeletonPlanner._optimize`` for a cache-missing frame —
         same candidate generation, enforcement, choice-key packing, and
-        first-seen strict ``<`` tie-breaking — except that when any instance
-        has a real comparison to make, *all* instances' pending operators
-        are priced in one packed pass.  Early pricing never perturbs values
-        or ledger indices (predictions are batch-invariant and indices are
-        assigned at ``_cost`` time), so per-instance arithmetic is exactly
-        the solo replay's.
+        first-seen strict ``<`` tie-breaking — except that when any state
+        has a real comparison to make, *all* stepping states' pending
+        operators are priced in one packed pass.  Early pricing never
+        perturbs values or ledger indices (predictions are batch-invariant
+        and indices are assigned at ``_cost`` time), so per-instance
+        arithmetic is exactly the solo replay's.
         """
         planner = self.planner
-        index, req_part, req_sort = frame
-        key = (index, id(req_part), id(req_sort))
-        no_requirement = req_part is _ANY and req_sort is _NO_SORT
-        per_state: list[list] = []
+        per_state: list[tuple[tuple[int, int, int], list]] = []
         need_flush = False
         for st in states:
+            index, req_part, req_sort = st.skel.schedule[step]
             planner._load_state(st)
             candidates = planner._implementations(index, req_part, req_sort)
             if not candidates:
@@ -233,35 +220,17 @@ class FleetReplanner:
                     f"under {req_part.describe()}/{req_sort.describe()}"
                 )
             st.candidates_considered += len(candidates)
-            if no_requirement:
-                enforced = candidates
-            else:
-                enforced = [
-                    planner._enforce(candidate, req_part, req_sort)
-                    for candidate in candidates
-                ]
+            enforced = planner._enforce_all(candidates, req_part, req_sort)
             if len(enforced) > 1:
                 need_flush = True
-            per_state.append(enforced)
+            per_state.append(((index, id(req_part), id(req_sort)), enforced))
         if need_flush:
             self._flush_states(states)
-        for st, enforced in zip(states, per_state):
+        for st, (key, enforced) in zip(states, per_state):
             if len(enforced) == 1:
-                best = enforced[0]
-                best_ordinal = 0
+                best, best_ordinal = enforced[0], 0
             else:
-                priced = st.priced
-                best_op, best_cost = enforced[0]
-                best_cost = _resolve_cost(best_cost, priced)
-                best = (best_op, best_cost)
-                best_ordinal = 0
-                for ordinal in range(1, len(enforced)):
-                    op, cost = enforced[ordinal]
-                    cost = _resolve_cost(cost, priced)
-                    if cost < best_cost:
-                        best = (op, cost)
-                        best_cost = cost
-                        best_ordinal = ordinal
+                best, best_ordinal = _pick_priced(enforced, st.priced)
             st.choices.append(best_ordinal * 16 + len(enforced))
             st.memo[key] = best
 

@@ -162,10 +162,10 @@ class SkelNode:
 class TemplateSkeleton:
     """The memoized product of one template's structure analysis.
 
-    ``schedule`` is lazily recorded by the first replayed instance that asks
-    for it (:meth:`SkeletonPlanner.replan_job`): the memo-entry creation
-    order of the search, i.e. every ``(index, req_part, req_sort)`` frame in
-    the order it completes.  Frame order is a pure function of the template
+    ``schedule`` is filled in lazily by the fleet replanner
+    (:meth:`SkeletonPlanner.frame_schedule`): the memo-entry creation order
+    of the search, i.e. every ``(index, req_part, req_sort)`` frame in the
+    order it completes.  Frame order is a pure function of the template
     structure and planner config — costs only pick winners, never which
     frames run — so the fleet replanner can drive any number of instances
     through the same frame sequence in lockstep.
@@ -345,6 +345,28 @@ def _annotate_replay(node: RNode) -> None:
         node.freq_incl = freq_below
 
 
+def _pick_priced(
+    enforced: list[tuple[RNode, object]], priced: list[float]
+) -> tuple[tuple[RNode, float], int]:
+    """The first-seen strict ``<`` winner and its ordinal.
+
+    Every deferred leaf of ``enforced`` must already be in ``priced``; each
+    cost is resolved with :func:`_resolve_cost`'s bit-exact replay.
+    """
+    best_op, best_cost = enforced[0]
+    best_cost = _resolve_cost(best_cost, priced)
+    best = (best_op, best_cost)
+    best_ordinal = 0
+    for ordinal in range(1, len(enforced)):
+        op, cost = enforced[ordinal]
+        cost = _resolve_cost(cost, priced)
+        if cost < best_cost:
+            best = (op, cost)
+            best_cost = cost
+            best_ordinal = ordinal
+    return best, best_ordinal
+
+
 def _replay_feature_input(node: RNode) -> FeatureInput:
     """``feature_input_for`` from the replay node's cached statistics."""
     return FeatureInput(
@@ -383,7 +405,7 @@ class SkeletonPlannerStats:
 class _ReplayState:
     """One job instance's live search state, detached from the planner.
 
-    The fleet replanner replays many instances of one template in lockstep
+    The fleet replanner replays every instance of every template in lockstep
     (:mod:`repro.optimizer.replan`): it prepares each instance, exports its
     state, and swaps states in and out of the shared planner frame by frame.
     All mutable members (memo, choices, pending, priced, jitter cache) are
@@ -393,6 +415,7 @@ class _ReplayState:
     """
 
     __slots__ = (
+        "skel",
         "bound",
         "salt",
         "jitter_cache",
@@ -516,6 +539,14 @@ class SkeletonPlanner:
             self._skeleton_builds += 1
         else:
             self._skeleton_hits += 1
+        self._bind_job(skeleton, bound, jitter_salt)
+        self._jobs_replayed += 1
+        return skeleton
+
+    def _bind_job(
+        self, skeleton: TemplateSkeleton, bound: list[LogicalOp], jitter_salt: str
+    ) -> None:
+        """Reset the per-job search state for one instance of ``skeleton``."""
         self._skel = skeleton
         self._bound = bound
         self._salt = jitter_salt
@@ -525,7 +556,6 @@ class SkeletonPlanner:
         self._pending = []
         self._priced = []
         self._candidates_considered = 0
-        self._schedule = None
         # Prime one estimate per logical node.  Any candidate whose physical
         # children all carry primed estimates shares the primed value (the
         # estimate formula sees identical inputs); only subplans containing a
@@ -539,8 +569,27 @@ class SkeletonPlanner:
                 estimate_logical(bound[i], [primed[c] for c in sn.children])
             )
         self._primed = primed
-        self._jobs_replayed += 1
-        return skeleton
+
+    def frame_schedule(
+        self, skeleton: TemplateSkeleton, logical_root: LogicalOp, jitter_salt: str
+    ) -> tuple[tuple[int, Partitioning, SortOrder], ...]:
+        """The search's frame sequence over ``skeleton``, from one replay.
+
+        Replays the instance ``logical_root`` and records every frame in
+        memo-entry creation order (see :attr:`TemplateSkeleton.schedule`).
+        Frame order never depends on costs, so the fleet replanner asks a
+        cheap heuristic planner for it instead of pricing a learned replay.
+        The replay must run over this very skeleton object, not an equal
+        rebuild: frames carry the skeleton's own requirement objects, and
+        memo keys use their ``id()``.  Touches no skeleton-cache counters.
+        """
+        self._bind_job(skeleton, _bind_logical(logical_root), jitter_salt)
+        self._schedule = []
+        try:
+            self._optimize(skeleton.root_index, _ANY, _NO_SORT)
+            return tuple(self._schedule)
+        finally:
+            self._schedule = None
 
     def plan_job(
         self, template_id: str, day: int, logical_root: LogicalOp, jitter_salt: str
@@ -567,19 +616,11 @@ class SkeletonPlanner:
         Beyond :meth:`plan_job` it materializes the winner, runs the
         partition-strategy pass when one is configured, and reports the total
         plan cost — everything :class:`~repro.optimizer.planner.PlannedJob`
-        carries — bitwise identical to the reference planner.  Also records
-        the skeleton's frame :attr:`~TemplateSkeleton.schedule` on first use,
-        which the fleet replanner's lockstep loop keys on.
+        carries — bitwise identical to the reference planner.
         """
         start = time.perf_counter()
         skeleton = self.prepare_job(template_id, day, logical_root, jitter_salt)
-        record = skeleton.schedule is None
-        if record:
-            self._schedule = []
         best, _cost = self._optimize(skeleton.root_index, _ANY, _NO_SORT)
-        if record:
-            skeleton.schedule = tuple(self._schedule)
-            self._schedule = None
         self.last_choice_key = (template_id, tuple(self._choices))
         if self._deferred:
             # Align lookup accounting with the reference planner, which
@@ -634,6 +675,7 @@ class SkeletonPlanner:
 
     def _export_state(self) -> "_ReplayState":
         st = _ReplayState()
+        st.skel = self._skel
         st.bound = self._bound
         st.salt = self._salt
         st.jitter_cache = self._jitter_cache
@@ -646,6 +688,7 @@ class SkeletonPlanner:
         return st
 
     def _load_state(self, st: "_ReplayState") -> None:
+        self._skel = st.skel
         self._bound = st.bound
         self._salt = st.salt
         self._jitter_cache = st.jitter_cache
@@ -882,29 +925,24 @@ class SkeletonPlanner:
         :func:`_resolve_cost`'s bit-exact arithmetic replay before the usual
         first-seen strict ``<`` scan.
         """
-        if req_part is _ANY and req_sort is _NO_SORT:
-            enforced = candidates
-        else:
-            enforced = [
-                self._enforce(candidate, req_part, req_sort)
-                for candidate in candidates
-            ]
+        enforced = self._enforce_all(candidates, req_part, req_sort)
         if len(enforced) == 1:
             return enforced[0], 0
         self._flush_pending()
-        priced = self._priced
-        best_op, best_cost = enforced[0]
-        best_cost = _resolve_cost(best_cost, priced)
-        best = (best_op, best_cost)
-        best_ordinal = 0
-        for ordinal in range(1, len(enforced)):
-            op, cost = enforced[ordinal]
-            cost = _resolve_cost(cost, priced)
-            if cost < best_cost:
-                best = (op, cost)
-                best_cost = cost
-                best_ordinal = ordinal
-        return best, best_ordinal
+        return _pick_priced(enforced, self._priced)
+
+    def _enforce_all(
+        self,
+        candidates: list[tuple[RNode, object]],
+        req_part: Partitioning,
+        req_sort: SortOrder,
+    ) -> list[tuple[RNode, object]]:
+        """Every candidate under the requirement (a no-op under ANY/unsorted)."""
+        if req_part is _ANY and req_sort is _NO_SORT:
+            return candidates
+        return [
+            self._enforce(candidate, req_part, req_sort) for candidate in candidates
+        ]
 
     def _implementations(
         self, index: int, req_part: Partitioning, req_sort: SortOrder

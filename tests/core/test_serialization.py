@@ -166,6 +166,57 @@ class TestAtomicSave:
         assert json.loads(path.read_text()) == {"a": 1}
         assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
+    @staticmethod
+    def _crash_before_rename(monkeypatch):
+        import os
+
+        def crash(src, dst):
+            raise OSError("simulated crash before rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+
+    def test_crash_mid_predictor_save_keeps_previous_file(
+        self, tiny_bundle, tiny_predictor, tmp_path, monkeypatch
+    ):
+        from repro.core.predictor import CleoPredictor
+
+        path = tmp_path / "model.json"
+        save_predictor(tiny_predictor, path)
+        before = path.read_text()
+        self._crash_before_rename(monkeypatch)
+        # A different payload, so a torn or replaced file would show.
+        with pytest.raises(OSError, match="simulated crash"):
+            save_predictor(CleoPredictor(store=tiny_predictor.store), path)
+        monkeypatch.undo()
+        assert path.read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+        loaded = load_predictor(path)
+        records = list(tiny_bundle.test_log().operator_records())[:20]
+        assert np.array_equal(
+            loaded.predict_records(records), tiny_predictor.predict_records(records)
+        )
+
+    def test_crash_mid_registry_save_keeps_previous_file(
+        self, tiny_predictor, tmp_path, monkeypatch
+    ):
+        from repro.core.lifecycle import ModelRegistry
+        from repro.core.serialization import load_registry, save_registry
+
+        registry = ModelRegistry()
+        registry.publish(tiny_predictor, day=3, window=(1, 2))
+        path = tmp_path / "registry.json"
+        save_registry(registry, path)
+        before = path.read_text()
+        registry.publish(tiny_predictor, day=13, window=(11, 12))
+        self._crash_before_rename(monkeypatch)
+        with pytest.raises(OSError, match="simulated crash"):
+            save_registry(registry, path)
+        monkeypatch.undo()
+        assert path.read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["registry.json"]
+        restored = load_registry(path)
+        assert [v.trained_on_day for v in restored.history()] == [3]
+
 
 class TestQuarantineRoundTrip:
     def test_ledger_roundtrips(self):

@@ -121,6 +121,29 @@ class TestEncodings:
         assert FeatureInput.encode_params(()) == 0.0
         assert FeatureInput.encode_params((2.0, 4.0)) == 3.0
 
+    def test_cached_params_encoding_is_bitwise_the_mean(self, monkeypatch):
+        from repro.features import featurizer
+
+        monkeypatch.setattr(featurizer, "_PARAMS_ENC_CACHE", {})
+        monkeypatch.setattr(featurizer, "_PARAMS_ENC_CACHE_LIMIT", 3)
+        cases = [
+            (0.1, 0.2, 0.7),
+            (1e300, 3e-300),
+            (0.0,),
+            (-0.0,),  # same key as (0.0,); np.mean's zero is +0.0 for both
+            (0.0, -0.0),
+            (3, 4.5),
+            (0.3,),
+        ]
+        for _ in range(2):  # second round answers from the cache
+            for params in cases:
+                got = FeatureInput.encode_params(params)
+                want = float(np.mean(params))
+                assert np.array_equal(
+                    np.array([got]).view(np.int64), np.array([want]).view(np.int64)
+                ), params
+        assert len(featurizer._PARAMS_ENC_CACHE) <= 3
+
 
 class TestLiveExtraction:
     def test_matches_estimates(self, physical_simple_plan, estimator):

@@ -284,6 +284,159 @@ class TestFleetReplanParity:
         assert ref_fps == fleet_fps
 
 
+def _mixed_fleet(bundle):
+    """Single-instance groups beside multi-instance ones, interleaved.
+
+    The first three templates get three instances each, the rest one, and
+    the replicas are appended after the singles so one call steps groups of
+    every size and schedule length together.
+    """
+    singles = _specs(bundle)
+    extras = []
+    for template_id, day, logical, salt in singles[:3]:
+        for k in (1, 2):
+            extras.append((template_id, day, logical, f"{salt}/mix{k}"))
+    return singles + extras
+
+
+class TestFleetWideLockstep:
+    """One stepper over every template group of a replan_jobs call."""
+
+    def test_mixed_fleet_matches_reference(self, tiny_bundle, tiny_predictor):
+        jobs = _mixed_fleet(tiny_bundle)
+        config = PlannerConfig()
+        replanner = FleetReplanner(CleoCostModel(tiny_predictor))
+        tiny_predictor.reset_lookup_count()
+        planned = replanner.replan_jobs(
+            [ReplanJob(salt, tid, day, logical) for tid, day, logical, salt in jobs]
+        )
+        fleet_lookups = tiny_predictor.lookup_count
+        lengths = {
+            len(skeleton.schedule)
+            for skeleton in replanner.planner._skeletons.values()
+        }
+        assert len(lengths) > 1  # groups of different schedule lengths
+        ref_fps, ref_lookups = _reference(
+            jobs, CleoCostModel(tiny_predictor), config, tiny_predictor
+        )
+        assert [_fingerprint(p) for p in planned] == ref_fps
+        assert fleet_lookups == ref_lookups
+
+    def test_mixed_fleet_cache_enabled_service_plans_identical(
+        self, tiny_bundle, tiny_predictor
+    ):
+        from repro.serving.service import CleoService
+
+        jobs = _mixed_fleet(tiny_bundle)
+        config = PlannerConfig()
+        ref_fps, _ = _reference(
+            jobs, CleoService(tiny_predictor).cost_model(), config, tiny_predictor
+        )
+        fleet_fps, _ = _fleet(
+            jobs, CleoService(tiny_predictor).cost_model(), config, tiny_predictor
+        )
+        assert ref_fps == fleet_fps
+
+    def test_choice_keys_match_solo_replay(self, tiny_bundle, tiny_predictor):
+        jobs = _mixed_fleet(tiny_bundle)
+        solo = SkeletonPlanner(
+            CleoCostModel(tiny_predictor), CardinalityEstimator(), PlannerConfig()
+        )
+        expected = []
+        for template_id, day, logical, salt in jobs:
+            solo.plan_job(template_id, day, logical, salt)
+            expected.append(solo.last_choice_key[1])
+        replanner = FleetReplanner(CleoCostModel(tiny_predictor))
+        planner = replanner.planner
+        exported = []
+        load_state = planner._load_state
+
+        def spy(st):
+            if st not in exported:
+                exported.append(st)
+            load_state(st)
+
+        planner._load_state = spy
+        replanner.replan_jobs(
+            [ReplanJob(salt, tid, day, logical) for tid, day, logical, salt in jobs]
+        )
+        assert [tuple(st.choices) for st in exported] == expected
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PlannerConfig(),
+            PlannerConfig(enable_merge_join=False, partition_jitter=0.35),
+        ],
+        ids=["default", "no-merge-jittered"],
+    )
+    def test_unpriced_schedule_matches_learned_replay(
+        self, tiny_bundle, tiny_predictor, config
+    ):
+        """Every template of the canonical workload, every day of its log."""
+        from repro.cost.default_model import DefaultCostModel
+
+        estimator = CardinalityEstimator()
+        learned = SkeletonPlanner(CleoCostModel(tiny_predictor), estimator, config)
+        heuristic = SkeletonPlanner(DefaultCostModel(), estimator, config)
+        generator = tiny_bundle.generator
+        checked = 0
+        for day in tiny_bundle.log.days:
+            catalog = generator.catalog_for_day(day)
+            seen = set()
+            for spec in generator.jobs_for_day(day):
+                template_id = spec.template.template_id
+                if template_id in seen:
+                    continue
+                seen.add(template_id)
+                logical = instantiate(spec, catalog)
+                skeleton = learned.prepare_job(
+                    template_id, day, logical, spec.job_id
+                )
+                recorded = learned.frame_schedule(skeleton, logical, spec.job_id)
+                # Every memo entry of the learned search is one frame.
+                assert len(recorded) == len(learned._memo)
+                unpriced = heuristic.frame_schedule(skeleton, logical, spec.job_id)
+                # Identity, not equality: memo keys use the objects' id().
+                assert [(i, id(p), id(s)) for i, p, s in unpriced] == [
+                    (i, id(p), id(s)) for i, p, s in recorded
+                ]
+                checked += 1
+        assert checked >= len(generator.templates)
+
+    def test_one_call_flushes_at_most_longest_schedule_plus_one(
+        self, tiny_bundle, tiny_predictor
+    ):
+        jobs = _mixed_fleet(tiny_bundle)
+        replanner = FleetReplanner(CleoCostModel(tiny_predictor))
+        replanner.replan_jobs(
+            [ReplanJob(salt, tid, day, logical) for tid, day, logical, salt in jobs]
+        )
+        longest = max(
+            len(skeleton.schedule)
+            for skeleton in replanner.planner._skeletons.values()
+        )
+        flushes = replanner.stats().frontier_flushes
+        assert 0 < flushes <= longest + 1
+
+    def test_schedule_reused_across_calls(self, tiny_bundle, tiny_predictor):
+        """A skeleton's schedule is computed once and kept for later calls."""
+        jobs = _specs(tiny_bundle, limit=4)
+        requests = [
+            ReplanJob(salt, tid, day, logical) for tid, day, logical, salt in jobs
+        ]
+        replanner = FleetReplanner(CleoCostModel(tiny_predictor))
+        first = [_fingerprint(p) for p in replanner.replan_jobs(requests)]
+        schedules = {
+            key: skeleton.schedule
+            for key, skeleton in replanner.planner._skeletons.items()
+        }
+        second = [_fingerprint(p) for p in replanner.replan_jobs(requests)]
+        assert first == second
+        for key, skeleton in replanner.planner._skeletons.items():
+            assert skeleton.schedule is schedules[key]
+
+
 class TestPlannerTelemetryAndGates:
     def test_stats_count_hits_builds_and_flushes(self, tiny_bundle, tiny_predictor):
         jobs = _specs(tiny_bundle, limit=4, instances=3)
